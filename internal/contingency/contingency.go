@@ -159,12 +159,6 @@ type Options struct {
 	// CacheKeyPrefix disambiguates network states in the cache; callers
 	// pass the session's case + diff hash (§3.4 composite key).
 	CacheKeyPrefix string
-	// ReferenceClone selects the legacy clone-per-outage analysis path
-	// instead of the zero-clone OutageView + patched-Ybus fast path. It is
-	// a test-only flag: the differential harness pins the fast path to the
-	// reference implementation with it. Production callers leave it false.
-	ReferenceClone bool
-
 	// BaseYbus, when non-nil, is the base admittance matrix of n, shared
 	// read-only (workers value-copy it before patching). It MUST match n's
 	// structure and branch parameters; the engine keys it by structural
@@ -223,6 +217,9 @@ func Analyze(n *model.Network, base *powerflow.Result, opts Options) (*ResultSet
 	if base == nil || !base.Converged {
 		return nil, ErrNoBase
 	}
+	if n.SlackBus() < 0 {
+		return nil, powerflow.ErrNoSlack
+	}
 	branches := opts.Branches
 	if branches == nil {
 		branches = n.InServiceBranches()
@@ -262,8 +259,8 @@ func Analyze(n *model.Network, base *powerflow.Result, opts Options) (*ResultSet
 	var next int64
 	// Shared worker prerequisites, taken from Options when the engine
 	// provides them, otherwise built once and only if some worker actually
-	// reaches the view path (a fully cached or reference-clone sweep never
-	// pays for them).
+	// reaches a solve (a fully cached or screened sweep never pays for
+	// them).
 	baseY := opts.BaseYbus
 	topo := opts.Topology
 	var prepOnce sync.Once
@@ -308,20 +305,15 @@ func Analyze(n *model.Network, base *powerflow.Result, opts Options) (*ResultSet
 						continue
 					}
 				}
-				var r *OutageResult
-				if opts.ReferenceClone {
-					r = analyzeOneClone(n, base, k, opts)
-				} else {
-					if ctx == nil {
-						prepOnce.Do(prep)
-						if opts.Pool != nil {
-							ctx = opts.Pool.acquire(n, base, topo, baseY)
-						} else {
-							ctx = newSweepContext(n, base, topo, baseY)
-						}
+				if ctx == nil {
+					prepOnce.Do(prep)
+					if opts.Pool != nil {
+						ctx = opts.Pool.acquire(n, base, topo, baseY)
+					} else {
+						ctx = newSweepContext(n, base, topo, baseY)
 					}
-					r = ctx.analyze(k, opts)
 				}
+				r := ctx.analyze(k, opts)
 				results[idx] = *r
 				if opts.Cache != nil {
 					opts.Cache.Put(Key(opts.CacheKeyPrefix, n.Name, k), r)
@@ -351,13 +343,11 @@ func recordSweep(met *obs.Registry, kind string, outages, screened int) {
 // it takes the prebuilt topology, base Ybus and a recyclable solve context
 // from Options when the engine provides them — a single-outage tool query
 // then pays for the solve only, not a topology + Ybus + pattern rebuild.
-// Bare calls (no shared artifacts) build what they need, as before. With
-// opts.ReferenceClone it runs the legacy clone-based path instead (the
-// differential-test reference).
-func AnalyzeOne(n *model.Network, base *powerflow.Result, k int, opts Options) *OutageResult {
+// Bare calls (no shared artifacts) build what they need.
+func AnalyzeOne(n *model.Network, base *powerflow.Result, k int, opts Options) (*OutageResult, error) {
 	opts.fill()
-	if opts.ReferenceClone {
-		return analyzeOneClone(n, base, k, opts)
+	if n.SlackBus() < 0 {
+		return nil, powerflow.ErrNoSlack
 	}
 	topo := opts.Topology
 	if topo == nil {
@@ -366,63 +356,15 @@ func AnalyzeOne(n *model.Network, base *powerflow.Result, k int, opts Options) *
 	if opts.Pool != nil {
 		ctx := opts.Pool.acquire(n, base, topo, opts.BaseYbus)
 		defer opts.Pool.release(ctx)
-		return ctx.analyze(k, opts)
+		return ctx.analyze(k, opts), nil
 	}
-	ctx := newSweepContext(n, base, topo, opts.BaseYbus)
-	return ctx.analyze(k, opts)
-}
-
-// analyzeOneClone is the legacy deep-clone implementation, kept verbatim
-// as the reference the differential harness pins the fast path against.
-func analyzeOneClone(n *model.Network, base *powerflow.Result, k int, opts Options) *OutageResult {
-	br := n.Branches[k]
-	out := &OutageResult{
-		Branch:    k,
-		FromBusID: n.Buses[br.From].ID,
-		ToBusID:   n.Buses[br.To].ID,
-		IsXfmr:    br.IsTransformer,
-	}
-	post := n.Clone()
-	post.Branches[k].InService = false
-
-	// Islanding check first: an outage that splits the grid shes all
-	// load outside the slack's island.
-	comp, count := post.ConnectedComponents()
-	if count > 1 {
-		out.Islanded = true
-		slackComp := comp[post.SlackBus()]
-		for _, l := range post.Loads {
-			if l.InService && comp[l.Bus] != slackComp {
-				out.LoadShedMW += l.P
-			}
-		}
-		out.Severity = severity(out, opts)
-		return out
-	}
-
-	pfOpts := powerflow.Options{EnforceQLimits: true, Reorder: opts.Reorder}
-	if !opts.NoWarmStart {
-		pfOpts.Warm = base.Voltages.Clone()
-	}
-	res, err := powerflow.Solve(post, pfOpts)
-	if err != nil || !res.Converged {
-		// Fallback: fast-decoupled is more tolerant of poor starts.
-		res, err = powerflow.Solve(post, powerflow.Options{Algorithm: powerflow.FastDecoupled})
-	}
-	if err != nil || !res.Converged {
-		out.Converged = false
-		out.LoadShedMW = estimateLoadShed(post)
-		out.Severity = severity(out, opts)
-		return out
-	}
-	scoreOutage(out, res, post, k, -1, opts)
-	return out
+	return newSweepContext(n, base, topo, opts.BaseYbus).analyze(k, opts), nil
 }
 
 // scoreOutage fills out's post-solve fields — loading extrema, overload
 // and voltage-violation lists, severity — from a converged power flow.
-// The clone-reference and view paths share it, so the scoring rules
-// cannot silently diverge between them. n supplies bus IDs and branch
+// The view path and the clone reference of the differential harness share
+// it, so the scoring rules cannot silently diverge between them. n supplies bus IDs and branch
 // endpoints; k and k2 are the outaged branches (zero flow by construction,
 // skipped); k2 is −1 for single outages.
 func scoreOutage(out *OutageResult, res *powerflow.Result, n *model.Network, k, k2 int, opts Options) {

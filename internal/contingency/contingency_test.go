@@ -1,6 +1,7 @@
 package contingency
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -16,6 +17,17 @@ func solveBase(t *testing.T, n *model.Network) *powerflow.Result {
 		t.Fatal(err)
 	}
 	return res
+}
+
+// analyzeOne is AnalyzeOne for tests whose networks always have a slack
+// bus: it fails the test on the (then impossible) entry-point error.
+func analyzeOne(t *testing.T, n *model.Network, base *powerflow.Result, k int, opts Options) *OutageResult {
+	t.Helper()
+	r, err := AnalyzeOne(n, base, k, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }
 
 func TestAnalyzeCase30FullSweep(t *testing.T) {
@@ -62,7 +74,7 @@ func TestIslandingDetected(t *testing.T) {
 	base := solveBase(t, n)
 	// Make bus 8 (index 7) radial: its only connection is branch 7-8
 	// (index 13) in case14.
-	out := AnalyzeOne(n, base, 13, Options{})
+	out := analyzeOne(t, n, base, 13, Options{})
 	if !out.Islanded {
 		t.Fatal("expected islanding for the radial 7-8 transformer")
 	}
@@ -77,7 +89,7 @@ func TestIslandingShedsLoad(t *testing.T) {
 	// Attach load to bus 8 then island it.
 	n.Loads = append(n.Loads, model.Load{Bus: 7, P: 25, Q: 5, InService: true})
 	base := solveBase(t, n)
-	out := AnalyzeOne(n, base, 13, Options{})
+	out := analyzeOne(t, n, base, 13, Options{})
 	if !out.Islanded || math.Abs(out.LoadShedMW-25) > 1e-9 {
 		t.Fatalf("islanded=%v shed=%v, want 25 MW", out.Islanded, out.LoadShedMW)
 	}
@@ -194,8 +206,8 @@ func TestTopAndCriticalBranches(t *testing.T) {
 func TestWarmStartOptionMatchesCold(t *testing.T) {
 	n := cases.MustLoad("case30")
 	base := solveBase(t, n)
-	warm := AnalyzeOne(n, base, 0, Options{})
-	cold := AnalyzeOne(n, base, 0, Options{NoWarmStart: true})
+	warm := analyzeOne(t, n, base, 0, Options{})
+	cold := analyzeOne(t, n, base, 0, Options{NoWarmStart: true})
 	if warm.Converged != cold.Converged {
 		t.Fatal("warm/cold disagree on convergence")
 	}
@@ -319,4 +331,59 @@ func contains(s, sub string) bool {
 		}
 		return false
 	})()
+}
+
+// TestNoSlackIsAnError: a network without a slack bus (a library caller
+// that skipped Network.Validate) gets powerflow.ErrNoSlack from every
+// entry point. It used to reach the sweep workers, where an islanding
+// outage indexed the component table at the missing slack (−1) and
+// panicked inside a goroutine, taking the process down.
+func TestNoSlackIsAnError(t *testing.T) {
+	n := cases.MustLoad("case14")
+	base := solveBase(t, n)
+	m := n.Clone()
+	m.Buses[m.SlackBus()].Type = model.PV
+	if _, err := Analyze(m, base, Options{Branches: []int{0, 13}}); !errors.Is(err, powerflow.ErrNoSlack) {
+		t.Fatalf("Analyze: got %v, want ErrNoSlack", err)
+	}
+	if _, err := AnalyzeOne(m, base, 13, Options{}); !errors.Is(err, powerflow.ErrNoSlack) {
+		t.Fatalf("AnalyzeOne: got %v, want ErrNoSlack", err)
+	}
+	pairs := []N2Pair{{BranchA: 0, BranchB: 13, Gen: -1}}
+	if _, err := AnalyzeN2(m, base, nil, N2Options{Pairs: pairs}); !errors.Is(err, powerflow.ErrNoSlack) {
+		t.Fatalf("AnalyzeN2: got %v, want ErrNoSlack", err)
+	}
+	if _, err := AnalyzeGenOutage(m, 1, Options{}); !errors.Is(err, powerflow.ErrNoSlack) {
+		t.Fatalf("AnalyzeGenOutage: got %v, want ErrNoSlack", err)
+	}
+	if _, err := AnalyzeGenOutages(m, Options{}); !errors.Is(err, powerflow.ErrNoSlack) {
+		t.Fatalf("AnalyzeGenOutages: got %v, want ErrNoSlack", err)
+	}
+}
+
+// TestOneOrderingPerNetwork: the base solve and the N-1 sweep of one
+// network run one Newton kernel with one Jacobian dimension, 2·(nb−1), so
+// a shared OrderingCache computes exactly one ordering for both.
+func TestOneOrderingPerNetwork(t *testing.T) {
+	n := cases.MustLoad("case14")
+	cache := powerflow.NewOrderingCache()
+	base, err := powerflow.Solve(n, powerflow.Options{EnforceQLimits: true, Reorder: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Analyze(n, base, Options{Reorder: cache}); err != nil {
+		t.Fatal(err)
+	}
+	perms := cache.Export()
+	want := 2 * (len(n.Buses) - 1)
+	if _, ok := perms[want]; len(perms) != 1 || !ok {
+		keys := make([]int, 0, len(perms))
+		for dim := range perms {
+			keys = append(keys, dim)
+		}
+		t.Fatalf("ordering cache keyed %v, want exactly [%d]", keys, want)
+	}
+	if m := cache.Misses(); m != 1 {
+		t.Fatalf("ordering cache missed %d times, want 1", m)
+	}
 }

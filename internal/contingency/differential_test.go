@@ -10,8 +10,8 @@ import (
 
 // The differential harness: for every in-service branch outage of the
 // paper's mid-size cases, the zero-clone OutageView + patched-Ybus path
-// must reproduce the clone-based reference path (Options.ReferenceClone)
-// — classification, flows-derived metrics, voltages and severity — to
+// must reproduce the clone-based reference path (reference_test.go) —
+// classification, flows-derived metrics, voltages and severity — to
 // 1e-9. This is the contract that makes the fast path trustworthy: any
 // incremental-update bug (a stale patch, a leaked buffer, a wrong
 // classification reset) shows up as a diff here.
@@ -70,8 +70,13 @@ func TestDifferentialViewVsCloneReference(t *testing.T) {
 			n := cases.MustLoad(name)
 			base := solveBase(t, n)
 			for _, k := range n.InServiceBranches() {
-				ref := AnalyzeOne(n, base, k, Options{ReferenceClone: true})
-				got := AnalyzeOne(n, base, k, Options{})
+				refOpts := Options{}
+				refOpts.fill()
+				ref := analyzeOneClone(n, base, k, refOpts)
+				got, err := AnalyzeOne(n, base, k, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
 				if err := diffOutage(ref, got); err != nil {
 					t.Fatalf("%s branch %d: view path diverges from clone reference: %v", name, k, err)
 				}
@@ -86,19 +91,16 @@ func TestDifferentialViewVsCloneReference(t *testing.T) {
 func TestDifferentialSweepVsCloneReference(t *testing.T) {
 	n := cases.MustLoad("case57")
 	base := solveBase(t, n)
-	ref, err := Analyze(n, base, Options{ReferenceClone: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := analyzeCloneSweep(n, base, Options{})
 	got, err := Analyze(n, base, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ref.Outages) != len(got.Outages) {
-		t.Fatalf("outage counts differ: %d vs %d", len(ref.Outages), len(got.Outages))
+	if len(ref) != len(got.Outages) {
+		t.Fatalf("outage counts differ: %d vs %d", len(ref), len(got.Outages))
 	}
-	for i := range ref.Outages {
-		if err := diffOutage(&ref.Outages[i], &got.Outages[i]); err != nil {
+	for i := range ref {
+		if err := diffOutage(&ref[i], &got.Outages[i]); err != nil {
 			t.Fatalf("outage %d: %v", i, err)
 		}
 	}

@@ -8,7 +8,7 @@ import (
 	"gridmind/internal/model"
 )
 
-// The gen-outage differential harness, mirroring the PR 2 ReferenceClone
+// The gen-outage differential harness, mirroring the N-1 clone-reference
 // harness: for every analyzable generator outage of the paper's mid-size
 // cases, the in-place classification path (ViewSolver re-deriving pSpec /
 // reactive aggregates / PV-PQ membership from the view) must reproduce the
@@ -59,7 +59,9 @@ func TestDifferentialGenOutageViewVsMaterializeReference(t *testing.T) {
 				if !gen.InService {
 					continue
 				}
-				ref, refErr := AnalyzeGenOutage(n, g, Options{ReferenceClone: true})
+				refOpts := Options{}
+				refOpts.fill()
+				ref, refErr := analyzeGenOutageMaterialize(n, g, refOpts)
 				got, gotErr := AnalyzeGenOutage(n, g, Options{})
 				if (refErr == nil) != (gotErr == nil) {
 					t.Fatalf("%s gen %d: error class differs: %v vs %v", name, g, refErr, gotErr)

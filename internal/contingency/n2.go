@@ -28,8 +28,8 @@ type N2Pair struct {
 }
 
 // N2Options configures AnalyzeN2. The embedded Options fields keep their
-// N-1 meanings (workers, thresholds, cache, the test-only ReferenceClone
-// flag); DCScreen is implied — use NoPreScreen to disable it.
+// N-1 meanings (workers, thresholds, cache); DCScreen is implied — use
+// NoPreScreen to disable it.
 type N2Options struct {
 	Options
 
@@ -245,6 +245,9 @@ func AnalyzeN2(n *model.Network, base *powerflow.Result, n1 *ResultSet, opts N2O
 	if base == nil || !base.Converged {
 		return nil, ErrNoBase
 	}
+	if n.SlackBus() < 0 {
+		return nil, powerflow.ErrNoSlack
+	}
 	pairs := opts.Pairs
 	if pairs == nil {
 		if n1 == nil {
@@ -337,20 +340,15 @@ func AnalyzeN2(n *model.Network, base *powerflow.Result, n1 *ResultSet, opts N2O
 						continue
 					}
 				}
-				var r *OutageResult
-				if opts.ReferenceClone {
-					r = analyzePairClone(n, base, p, opts.Options)
-				} else {
-					if ctx == nil {
-						prepOnce.Do(prep)
-						if opts.Pool != nil {
-							ctx = opts.Pool.acquire(n, base, topo, baseY)
-						} else {
-							ctx = newSweepContext(n, base, topo, baseY)
-						}
+				if ctx == nil {
+					prepOnce.Do(prep)
+					if opts.Pool != nil {
+						ctx = opts.Pool.acquire(n, base, topo, baseY)
+					} else {
+						ctx = newSweepContext(n, base, topo, baseY)
 					}
-					r = ctx.analyzePair(p, opts.Options)
 				}
+				r := ctx.analyzePair(p, opts.Options)
 				results[idx] = *r
 				if opts.Cache != nil {
 					opts.Cache.Put(PairKey(opts.CacheKeyPrefix, n.Name, p), r)
@@ -363,66 +361,4 @@ func AnalyzeN2(n *model.Network, base *powerflow.Result, n1 *ResultSet, opts N2O
 	rs.Screened = int(screened)
 	recordSweep(opts.Metrics, "n2", len(results), int(screened))
 	return rs, nil
-}
-
-// analyzePairClone is the brute-force deep-clone reference for a double
-// outage, structured like analyzeOneClone: clone, mark both elements out
-// (with governor redispatch for mixed pairs), islanding check, warm
-// Newton with fast-decoupled fallback. The N-2 differential harness pins
-// the zero-clone pair path against it.
-func analyzePairClone(n *model.Network, base *powerflow.Result, p N2Pair, opts Options) *OutageResult {
-	out := newPairResult(n, p)
-	post := n.Clone()
-	post.Branches[p.BranchA].InService = false
-	if p.BranchB >= 0 {
-		post.Branches[p.BranchB].InService = false
-	}
-	var deficit float64
-	if p.Gen >= 0 {
-		view := model.NewOutageView(n)
-		var err error
-		if _, deficit, err = prepareGenOutage(n, view, p.Gen); err != nil {
-			// Unreachable (AnalyzeN2 validates); mirror analyzePair's
-			// defensive branch-only behavior under the pair identity.
-			deficit = 0
-		} else {
-			post.Gens[p.Gen].InService = false
-			for gi := range post.Gens {
-				if post.Gens[gi].InService {
-					post.Gens[gi].P = view.Gen(gi).P
-				}
-			}
-		}
-	}
-
-	comp, count := post.ConnectedComponents()
-	if count > 1 {
-		out.Islanded = true
-		slackComp := comp[post.SlackBus()]
-		for _, l := range post.Loads {
-			if l.InService && comp[l.Bus] != slackComp {
-				out.LoadShedMW += l.P
-			}
-		}
-		out.Severity = severity(out, opts)
-		return out
-	}
-
-	pfOpts := powerflow.Options{EnforceQLimits: true, Reorder: opts.Reorder}
-	if !opts.NoWarmStart {
-		pfOpts.Warm = base.Voltages.Clone()
-	}
-	res, err := powerflow.Solve(post, pfOpts)
-	if err != nil || !res.Converged {
-		res, err = powerflow.Solve(post, powerflow.Options{Algorithm: powerflow.FastDecoupled})
-	}
-	if err != nil || !res.Converged {
-		out.Converged = false
-		out.LoadShedMW = estimateLoadShed(post)
-		out.Severity = severity(out, opts) + deficit
-		return out
-	}
-	scoreOutage(out, res, post, p.BranchA, p.BranchB, opts)
-	out.Severity += deficit
-	return out
 }

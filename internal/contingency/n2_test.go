@@ -160,10 +160,7 @@ func TestN2DifferentialVsCloneReference(t *testing.T) {
 		t.Fatalf("only %d candidate pairs seeded", len(pairs))
 	}
 
-	ref, err := AnalyzeN2(n, base, n1, N2Options{Options: Options{ReferenceClone: true}, Pairs: pairs, NoPreScreen: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := analyzeCloneN2(n, base, pairs, Options{})
 	got, err := AnalyzeN2(n, base, n1, N2Options{Pairs: pairs, NoPreScreen: true})
 	if err != nil {
 		t.Fatal(err)

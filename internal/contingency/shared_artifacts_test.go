@@ -26,8 +26,8 @@ func TestAnalyzeOneSharedArtifactsMatch(t *testing.T) {
 		Reorder:  powerflow.NewOrderingCache(),
 	}
 	for _, k := range n.InServiceBranches() {
-		bare := AnalyzeOne(n, base, k, Options{})
-		pooled := AnalyzeOne(n, base, k, shared)
+		bare := analyzeOne(t, n, base, k, Options{})
+		pooled := analyzeOne(t, n, base, k, shared)
 		if !reflect.DeepEqual(bare, pooled) {
 			t.Fatalf("branch %d: shared-artifact result diverged\nbare:   %+v\npooled: %+v", k, bare, pooled)
 		}
@@ -56,7 +56,7 @@ func TestAnalyzeOneSharedArtifactsZeroClones(t *testing.T) {
 	// Pick a non-islanding, convergent outage (the common tool query).
 	k := -1
 	for _, b := range n.InServiceBranches() {
-		if r := AnalyzeOne(n, base, b, shared); r.Converged && !r.Islanded {
+		if r := analyzeOne(t, n, base, b, shared); r.Converged && !r.Islanded {
 			k = b
 			break
 		}
@@ -66,7 +66,7 @@ func TestAnalyzeOneSharedArtifactsZeroClones(t *testing.T) {
 	}
 	clones, mats := model.CloneCount(), model.MaterializeCount()
 	for i := 0; i < 5; i++ {
-		AnalyzeOne(n, base, k, shared)
+		analyzeOne(t, n, base, k, shared)
 	}
 	if d := model.CloneCount() - clones; d != 0 {
 		t.Fatalf("pooled AnalyzeOne cloned %d times, want 0", d)

@@ -16,7 +16,7 @@ type sweepContext struct {
 	topo  *model.Topology
 	slack int
 
-	solver *powerflow.ViewSolver // nil when the base fails to classify
+	solver *powerflow.ViewSolver
 	view   *model.OutageView
 
 	comp, stack []int
@@ -34,20 +34,16 @@ func newSweepContext(n *model.Network, base *powerflow.Result, topo *model.Topol
 		comp:  make([]int, len(n.Buses)),
 		stack: make([]int, len(n.Buses)),
 	}
-	// A base that cannot classify (no slack) cannot host a view solver;
-	// analyze falls back to the clone path, which reports the failure the
-	// same way the legacy code did.
+	// NewViewSolver fails only on a network without a slack bus, which
+	// every entry point rejects before building a context.
 	ctx.solver, _ = powerflow.NewViewSolver(n, baseY)
 	return ctx
 }
 
-// analyze simulates the outage of branch k and scores it — the zero-clone
-// counterpart of analyzeOneClone, matching it result-for-result (the
-// differential harness enforces this).
+// analyze simulates the outage of branch k and scores it on the zero-clone
+// path. The differential harness pins it result-for-result against the
+// clone-and-resolve reference in reference_test.go.
 func (c *sweepContext) analyze(k int, opts Options) *OutageResult {
-	if c.solver == nil {
-		return analyzeOneClone(c.n, c.base, k, opts)
-	}
 	br := c.n.Branches[k]
 	out := &OutageResult{
 		Branch:    k,
@@ -100,12 +96,10 @@ func (c *sweepContext) analyze(k int, opts Options) *OutageResult {
 // islanding check removes both branches from the prebuilt topology, the
 // view stacks both outages (rank-1 Ybus patches stack the same way inside
 // ViewSolver.Solve), and generation-touching pairs ride the solver's
-// in-place classification instead of falling back to Materialize.
-// analyzePairClone is the clone-based reference it is pinned against.
+// in-place classification instead of falling back to Materialize. The
+// N-2 differential harness pins it against the clone-based pair reference
+// in reference_test.go.
 func (c *sweepContext) analyzePair(p N2Pair, opts Options) *OutageResult {
-	if c.solver == nil {
-		return analyzePairClone(c.n, c.base, p, opts)
-	}
 	out := newPairResult(c.n, p)
 
 	// Islanding check first, with both branches (for mixed pairs the

@@ -40,7 +40,7 @@ func TestWoodburyVoltageFloorConservative(t *testing.T) {
 			if !ok {
 				continue
 			}
-			ac := AnalyzeOne(n, base, k, opts)
+			ac := analyzeOne(t, n, base, k, opts)
 			if !ac.Converged || ac.Islanded {
 				continue // exact path has no comparable voltage floor
 			}

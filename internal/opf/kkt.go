@@ -80,6 +80,9 @@ type kktSystem struct {
 	vals        []float64
 	refillE     int
 	refillDrift int
+	// ownPattern records that the pattern was compiled during the current
+	// solve (as opposed to inherited from an earlier one via Context).
+	ownPattern bool
 	// counters for tests and diagnostics
 	compiles, factors, refactors int
 }
@@ -167,6 +170,39 @@ func (k *kktSystem) refill(p *nlp, ev *nlpEval, x, lam, mu, z []float64) error {
 		return fmt.Errorf("opf: KKT emission %d drifted from compiled coordinate (%d,%d): the hess/eval pattern is not structural", k.refillDrift, k.ri[u], k.ci[u])
 	}
 	return nil
+}
+
+// direction implements kktSolver: refill the compiled pattern in place
+// (compiling it on first use), then factor and solve.
+func (k *kktSystem) direction(iter int, p *nlp, ev *nlpEval, x, lam, mu, z, rhs []float64) ([]float64, error) {
+	if iter == 0 {
+		k.ownPattern = false
+	}
+	if k.compiled() {
+		if err := k.refill(p, ev, x, lam, mu, z); err != nil {
+			if k.ownPattern {
+				// Drift against a pattern compiled in THIS solve is a
+				// value-dependent emitter, a contract violation that must
+				// fail loudly (reported distinctly from singularity).
+				return nil, err
+			}
+			// Coordinate drift against a pattern cached from an EARLIER
+			// solve: a structural change slipped past the signature —
+			// recompile for this problem and continue.
+			k.mat = nil
+		}
+	}
+	if !k.compiled() {
+		// compile captures the pattern AND accumulates the values, so the
+		// compile iteration needs no refill pass.
+		k.compile(p, ev, x, lam, mu, z)
+		k.ownPattern = true
+	}
+	sol, err := k.factorAndSolve(rhs)
+	if err != nil {
+		return nil, fmt.Errorf("singular KKT system: %w", err)
+	}
+	return sol, nil
 }
 
 // factorAndSolve solves the current matrix against rhs into k.sol. The

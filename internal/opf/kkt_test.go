@@ -1,21 +1,60 @@
 package opf
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"gridmind/internal/cases"
+	"gridmind/internal/model"
 	"gridmind/internal/sparse"
 )
+
+// referenceKKT is the legacy per-iteration assembly pipeline, kept as the
+// differential-test oracle of the fixed-pattern kktSystem: build a COO,
+// compress to CSC, reuse a minimum-degree ordering computed on the first
+// iteration's pattern, and run a full LU factorization every iteration.
+type referenceKKT struct {
+	colPerm []int
+}
+
+func (rk *referenceKKT) direction(_ int, p *nlp, ev *nlpEval, x, lam, mu, z, rhs []float64) ([]float64, error) {
+	dim := p.nx + p.ng
+	kkt := sparse.NewCOO(dim, dim)
+	assembleKKT(p, ev, x, lam, mu, z, kkt.Add)
+	csc := kkt.ToCSC()
+	if rk.colPerm == nil {
+		rk.colPerm = sparse.MinDegree(csc)
+	}
+	lu, err := sparse.Factorize(csc, sparse.Options{ColPerm: rk.colPerm})
+	if err != nil {
+		return nil, fmt.Errorf("singular KKT system: %w", err)
+	}
+	return lu.Solve(rhs)
+}
+
+// solveACOPFReference is SolveACOPF (cold start, no Context) on the
+// referenceKKT pipeline.
+func solveACOPFReference(n *model.Network) (*Solution, error) {
+	prob, err := newACOPF(n)
+	if err != nil {
+		return nil, err
+	}
+	p := &nlp{
+		nx: prob.nx(), ng: prob.ngEq(), nh: prob.nIneq(),
+		x0: prob.initialPoint(nil), eval: prob.eval, hess: prob.hessian,
+	}
+	res, err := solveIPM(p, ipmOptions{kkt: &referenceKKT{}})
+	return extractSolution(prob, res), err
+}
 
 // TestIPMFixedPatternMatchesReference is the differential harness for the
 // fixed-pattern KKT path: the compiled-pattern + Refactorize pipeline must
 // reproduce the legacy per-iteration assembly (COO build, CSC compression,
-// full symbolic LU each step — kept behind the test-only ReferenceKKT
-// flag) to tight tolerance on every case. The two pipelines share the
-// emission code but nothing of the linear-solver plumbing, so agreement
-// pins ordering, slot mapping, refactorization and the pivot-stability
-// fallback all at once.
+// full symbolic LU each step — referenceKKT above) to tight tolerance on
+// every case. The two pipelines share the emission code but nothing of the
+// linear-solver plumbing, so agreement pins ordering, slot mapping,
+// refactorization and the pivot-stability fallback all at once.
 func TestIPMFixedPatternMatchesReference(t *testing.T) {
 	for _, name := range []string{"case14", "case30", "case57"} {
 		n := cases.MustLoad(name)
@@ -23,7 +62,7 @@ func TestIPMFixedPatternMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s fixed: %v", name, err)
 		}
-		ref, err := SolveACOPF(n, Options{ReferenceKKT: true})
+		ref, err := solveACOPFReference(n)
 		if err != nil {
 			t.Fatalf("%s reference: %v", name, err)
 		}
@@ -34,7 +73,8 @@ func TestIPMFixedPatternMatchesReference(t *testing.T) {
 			t.Errorf("%s: iteration paths diverged: %d vs %d", name, fixed.Iterations, ref.Iterations)
 		}
 		// The two pipelines factor under different fill-reducing orderings
-		// (constraint-aware supernode order vs the reference's RCM), so
+		// (constraint-aware supernode order vs the reference's scalar
+		// minimum degree), so
 		// elimination roundoff diverges by a few ulps per iteration and
 		// compounds over the ~25-40 IPM steps; 1e-8 relative still pins the
 		// pipelines to far tighter agreement than the 1e-6 convergence

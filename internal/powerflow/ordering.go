@@ -9,12 +9,15 @@ import (
 // Jacobian across solves of structurally similar networks — the N-1 sweep
 // is the canonical user: every outage solves a network that differs from
 // the base by one branch, so the base ordering is reused instead of
-// recomputing RCM per outage.
+// recomputing the minimum-degree ordering per outage.
 //
-// Orderings are keyed by Jacobian dimension. Any permutation of the right
-// length is a valid elimination order for the LU (the choice affects only
-// fill-in, never correctness), so reusing an ordering computed for a
-// slightly different pattern of the same dimension is safe.
+// Orderings are keyed by Jacobian dimension. The Newton kernel gives every
+// non-slack bus an angle and a magnitude unknown whatever the PV/PQ split,
+// so one network has one Jacobian dimension, 2·(nb−1): the base solve, its
+// outages and every Q-limit round share a single entry. Any permutation of
+// the right length is a valid elimination order for the LU (the choice
+// affects only fill-in, never correctness), so reusing an ordering
+// computed for a slightly different pattern of the same dimension is safe.
 //
 // The zero value is not usable; create with NewOrderingCache. All methods
 // are safe for concurrent use.

@@ -149,6 +149,11 @@ type Result struct {
 // ErrNotConverged reports power flow divergence.
 var ErrNotConverged = errors.New("powerflow: did not converge")
 
+// ErrNoSlack reports a network without a slack bus: no AC or DC solve has
+// an angle reference. Network.Validate rejects such networks; library
+// callers that skip it get this error from every solver entry point.
+var ErrNoSlack = errors.New("powerflow: network has no slack bus")
+
 // classification holds the PV/PQ/slack split used by the AC solvers.
 type classification struct {
 	slack int
@@ -170,7 +175,7 @@ func classify(n *model.Network) (*classification, error) {
 		qMaxBus: make([]float64, nb),
 	}
 	if c.slack < 0 {
-		return nil, errors.New("powerflow: network has no slack bus")
+		return nil, ErrNoSlack
 	}
 	hasGen := make([]bool, nb)
 	for _, g := range n.Gens {
@@ -240,45 +245,54 @@ func startVoltagesInto(n *model.Network, opts Options, vm, va []float64) {
 
 // Solve runs the configured power flow on the network.
 func Solve(n *model.Network, opts Options) (*Result, error) {
-	if opts.Tol == 0 {
-		opts.Tol = 1e-8
-	}
 	switch opts.Algorithm {
-	case NewtonRaphson:
-		if opts.MaxIter == 0 {
-			opts.MaxIter = 30
-		}
-		return solveACOuter(n, opts, newtonInner)
-	case FastDecoupled:
-		if opts.MaxIter == 0 {
-			opts.MaxIter = 60
-		}
-		return solveACOuter(n, opts, fdpfInner)
+	case NewtonRaphson, FastDecoupled:
 	case DC:
 		return solveDC(n)
 	default:
 		return nil, fmt.Errorf("powerflow: unknown algorithm %v", opts.Algorithm)
 	}
-}
-
-// innerSolver iterates one AC method to convergence for a fixed PV/PQ split.
-type innerSolver func(n *model.Network, y *model.Ybus, c *classification, vm, va []float64, opts Options) (iter int, maxMis float64, converged bool, err error)
-
-// solveACOuter wraps an inner AC solver with the PV→PQ reactive-limit
-// outer loop and final result assembly.
-func solveACOuter(n *model.Network, opts Options, inner innerSolver) (*Result, error) {
 	c, err := classify(n)
 	if err != nil {
 		return nil, err
 	}
 	y := model.BuildYbus(n)
 	vm, va := startVoltages(n, opts)
+	var st *fixedState
+	if opts.Algorithm == NewtonRaphson {
+		st = newFixedState(y, len(n.Buses), c.slack)
+	}
+	// A fresh result scratch per call: the result keeps unique ownership
+	// of its flows.
+	return solveAC(n, y, c, vm, va, opts, st, nil, newResultScratch(n))
+}
 
+// solveAC runs one AC method — Newton on the kernel state st, or fast
+// decoupled (st nil) — inside the PV→PQ reactive-limit outer loop, and
+// assembles the result. One-shot solves and ViewSolver share it. qsc may
+// be nil (allocated on the first Q-limit round); rsc receives the flows.
+func solveAC(n *model.Network, y *model.Ybus, c *classification, vm, va []float64, opts Options, st *fixedState, qsc *qSwitchScratch, rsc *resultScratch) (*Result, error) {
+	if opts.Tol == 0 {
+		opts.Tol = 1e-8
+	}
+	if opts.MaxIter == 0 {
+		opts.MaxIter = 30
+		if opts.Algorithm == FastDecoupled {
+			opts.MaxIter = 60
+		}
+	}
 	res := &Result{Algorithm: opts.Algorithm}
-	var qScratch *qSwitchScratch
 	const maxQRounds = 6
 	for round := 0; ; round++ {
-		iter, mis, conv, err := inner(n, y, c, vm, va, opts)
+		var iter int
+		var mis float64
+		var conv bool
+		var err error
+		if opts.Algorithm == FastDecoupled {
+			iter, mis, conv, err = fdpfInner(n, y, c, vm, va, opts)
+		} else {
+			iter, mis, conv, err = st.newtonRound(y, c, vm, va, opts)
+		}
 		res.Iterations += iter
 		res.MaxMismatch = mis
 		res.Converged = conv
@@ -286,21 +300,21 @@ func solveACOuter(n *model.Network, opts Options, inner innerSolver) (*Result, e
 			return res, err
 		}
 		if !conv {
-			finishResult(n, y, c, vm, va, res)
+			finishResult(n, y, c, vm, va, res, rsc)
 			return res, fmt.Errorf("%w after %d iterations (max mismatch %.3e p.u., %v)",
 				ErrNotConverged, res.Iterations, mis, opts.Algorithm)
 		}
 		if !opts.EnforceQLimits || round >= maxQRounds {
 			break
 		}
-		if qScratch == nil {
-			qScratch = newQSwitchScratch(len(n.Buses))
+		if qsc == nil {
+			qsc = newQSwitchScratch(len(n.Buses))
 		}
-		if !switchPVtoPQ(y, c, vm, va, qScratch) {
+		if !switchPVtoPQ(y, c, vm, va, qsc) {
 			break
 		}
 	}
-	finishResult(n, y, c, vm, va, res)
+	finishResult(n, y, c, vm, va, res, rsc)
 	return res, nil
 }
 
@@ -459,12 +473,7 @@ func (sc *resultScratch) applyLoadScale(n *model.Network, ls float64) {
 
 // finishResult computes flows, losses, generator allocations and extrema.
 // One-shot solves build the scratch fresh; sweeps pass a reused one.
-func finishResult(n *model.Network, y *model.Ybus, c *classification, vm, va []float64, res *Result) {
-	finishResultScratch(n, y, c, vm, va, res, newResultScratch(n))
-}
-
-// finishResultScratch is finishResult against a caller-provided scratch.
-func finishResultScratch(n *model.Network, y *model.Ybus, c *classification, vm, va []float64, res *Result, sc *resultScratch) {
+func finishResult(n *model.Network, y *model.Ybus, c *classification, vm, va []float64, res *Result, sc *resultScratch) {
 	nb := len(n.Buses)
 	res.Voltages = VoltageProfile{Vm: append([]float64(nil), vm...), Va: append([]float64(nil), va...)}
 	v, s := sc.v, sc.s
@@ -540,13 +549,17 @@ func Mismatch(n *model.Network, prof *VoltageProfile) []complex128 {
 	return out
 }
 
-// angleWrap keeps angles in (-π, π] for stable warm starts.
+// angleWrap keeps angles in (-π, π] for stable warm starts. The exact
+// IEEE remainder costs the same for any magnitude: a diverging Newton run
+// can push angles past 1e10 rad, where subtracting 2π one turn at a time
+// took seconds per call. Within a few turns of the range the remainder
+// equals the repeated subtraction bit for bit.
 func angleWrap(a float64) float64 {
-	for a > math.Pi {
-		a -= 2 * math.Pi
-	}
-	for a <= -math.Pi {
-		a += 2 * math.Pi
+	if a > math.Pi || a <= -math.Pi {
+		a = math.Remainder(a, 2*math.Pi)
+		if a <= -math.Pi {
+			a += 2 * math.Pi
+		}
 	}
 	return a
 }

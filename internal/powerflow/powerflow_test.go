@@ -1,6 +1,7 @@
 package powerflow
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -312,11 +313,82 @@ func TestJacobianMatchesFiniteDifferences(t *testing.T) {
 	}
 }
 
+// TestAugJacobianMatchesFiniteDifferences checks the production augmented
+// Jacobian against central differences: P rows of the non-slack buses and
+// the Q row of the PQ bus against every free unknown, and the PV bus's
+// pinned magnitude row and column as an exact identity.
+func TestAugJacobianMatchesFiniteDifferences(t *testing.T) {
+	n := threeBus()
+	y := model.BuildYbus(n)
+	vm := []float64{1.04, 1.01, 0.97}
+	va := []float64{0, -0.05, -0.11}
+	st := newFixedState(y, len(n.Buses), 0)
+	st.isPQ[2] = true // bus 1 stays PV: its magnitude unknown is pinned
+	injectionsInto(y, vm, va, st.cs, st.sn, st.p, st.q)
+	st.jac.refill(y, st, vm)
+	jac := st.jac.mat
+
+	// Free unknowns and residual rows, as (bus, angle?) pairs.
+	type slot struct {
+		bus   int
+		angle bool
+	}
+	free := []slot{{1, true}, {2, true}, {2, false}}
+	pos := func(s slot) int {
+		if s.angle {
+			return st.aPos[s.bus]
+		}
+		return st.mPos[s.bus]
+	}
+	const h = 1e-7
+	p := make([]float64, 3)
+	q := make([]float64, 3)
+	cs := make([]float64, 3)
+	sn := make([]float64, 3)
+	eval := func(vm, va []float64, r slot) float64 {
+		injectionsInto(y, vm, va, cs, sn, p, q)
+		if r.angle {
+			return p[r.bus]
+		}
+		return q[r.bus]
+	}
+	for _, col := range free {
+		plus := func(d float64) (pm, pa []float64) {
+			pm = append([]float64(nil), vm...)
+			pa = append([]float64(nil), va...)
+			if col.angle {
+				pa[col.bus] += d
+			} else {
+				pm[col.bus] += d
+			}
+			return pm, pa
+		}
+		for _, row := range free {
+			vmp, vap := plus(h)
+			vmm, vam := plus(-h)
+			fd := (eval(vmp, vap, row) - eval(vmm, vam, row)) / (2 * h)
+			if got := jac.At(pos(row), pos(col)); math.Abs(fd-got) > 1e-5*math.Max(1, math.Abs(fd)) {
+				t.Fatalf("J[%d,%d] = %v, finite difference %v", pos(row), pos(col), got, fd)
+			}
+		}
+	}
+	pin := st.mPos[1]
+	for k := 0; k < st.dim; k++ {
+		want := 0.0
+		if k == pin {
+			want = 1
+		}
+		if jac.At(pin, k) != want || jac.At(k, pin) != want {
+			t.Fatalf("pinned row/column %d at %d: %v / %v, want %v", pin, k, jac.At(pin, k), jac.At(k, pin), want)
+		}
+	}
+}
+
 func TestSolveNoSlack(t *testing.T) {
 	n := twoBus(10, 5)
 	n.Buses[0].Type = model.PQ
-	if _, err := Solve(n, Options{}); err == nil {
-		t.Fatal("expected error without slack bus")
+	if _, err := Solve(n, Options{}); !errors.Is(err, ErrNoSlack) {
+		t.Fatalf("got %v, want ErrNoSlack", err)
 	}
 }
 
@@ -350,6 +422,23 @@ func TestAngleWrap(t *testing.T) {
 	}
 	if v := angleWrap(-3 * math.Pi); math.Abs(v-math.Pi) > 1e-12 {
 		t.Fatalf("angleWrap(-3π) = %v want π", v)
+	}
+	// A diverged iterate wraps in constant time, into range.
+	if v := angleWrap(4.8e10); v <= -math.Pi || v > math.Pi {
+		t.Fatalf("angleWrap(4.8e10) = %v, outside (-π, π]", v)
+	}
+	// Within a few turns the result is the repeated subtraction, bit for bit.
+	for _, a := range []float64{3.5, 7.1, 12.5, -3.5, -7.1, -12.5, math.Pi, -math.Pi} {
+		want := a
+		for want > math.Pi {
+			want -= 2 * math.Pi
+		}
+		for want <= -math.Pi {
+			want += 2 * math.Pi
+		}
+		if got := angleWrap(a); got != want {
+			t.Fatalf("angleWrap(%v) = %v, repeated subtraction gives %v", a, got, want)
+		}
 	}
 }
 

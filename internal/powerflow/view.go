@@ -2,10 +2,8 @@ package powerflow
 
 import (
 	"fmt"
-	"math"
 
 	"gridmind/internal/model"
-	"gridmind/internal/sparse"
 )
 
 // ViewSolver is a reusable post-outage power flow context over one shared
@@ -19,20 +17,13 @@ import (
 //     bitwise afterwards;
 //   - the pristine PV/PQ classification, copied into working buffers per
 //     solve (Q-limit switching mutates the split);
-//   - ONE augmented Newton state of fixed dimension: every non-slack bus
-//     carries a magnitude unknown, and buses that are currently PV are
-//     pinned by exact identity rows (dVm = 0) with their couplings zeroed.
-//     A sweep encounters dozens of distinct PV/PQ splits as Q-limits bind
-//     differently per outage; the augmentation makes them all share one
-//     compiled Jacobian pattern and one LU symbolic analysis, so every
-//     post-outage Newton iteration everywhere rides refill + Refactorize —
-//     no pattern work, no symbolic analysis, no allocation in the steady
-//     state.
-//
-// The identity-row trick is exact, not approximate: a pinned row solves
-// dVm_i = 0 identically (its off-row couplings are exact zeros, so no
-// rounding enters), and the update loop additionally never applies
-// magnitude steps to non-PQ buses.
+//   - ONE state of the package's augmented Newton kernel (newton.go),
+//     kept across solves. A sweep encounters dozens of distinct PV/PQ
+//     splits as Q-limits bind differently per outage; the augmentation
+//     makes them all share one compiled Jacobian pattern and one LU
+//     symbolic analysis, so every post-outage Newton iteration rides
+//     refill + Refactorize — no pattern work, no symbolic analysis, no
+//     allocation in the steady state.
 //
 // A ViewSolver is NOT safe for concurrent use: sweeps create one per
 // worker and share only the immutable base network and the OrderingCache.
@@ -63,38 +54,26 @@ type ViewSolver struct {
 	patches []model.BranchPatch
 }
 
-// fixedState is the split-independent Newton machinery: index maps and the
-// compiled augmented Jacobian shared by every solve of the sweep.
-type fixedState struct {
-	aPos, mPos []int // every non-slack bus has both an angle and a magnitude slot
-	isPQ       []bool
-	dim        int
-	rhs, dx    []float64
-	work       []float64
-	p, q       []float64
-	cs, sn     []float64
-	jac        *viewJacobian
-	lu         *sparse.LU
-	colPerm    []int
-}
-
 // NewViewSolver prepares a solver context for the base network. The base
 // must stay unmodified (and its base-case topology unchanged) for the
 // lifetime of the solver. baseY, when non-nil, is the base admittance
 // matrix to value-copy (sweeps build it once and share the pattern across
-// workers); nil builds one from n.
+// workers); nil builds a private one from n.
 func NewViewSolver(n *model.Network, baseY *model.Ybus) (*ViewSolver, error) {
 	c, err := classify(n)
 	if err != nil {
 		return nil, err
 	}
-	if baseY == nil {
-		baseY = model.BuildYbus(n)
+	var y *model.Ybus
+	if baseY != nil {
+		y = baseY.Copy()
+	} else {
+		y = model.BuildYbus(n)
 	}
 	nb := len(n.Buses)
 	s := &ViewSolver{
 		base:      n,
-		y:         baseY.Copy(),
+		y:         y,
 		c0:        c,
 		qSpec:     make([]float64, nb),
 		pvBuf:     make([]int, 0, nb),
@@ -110,44 +89,6 @@ func NewViewSolver(n *model.Network, baseY *model.Ybus) (*ViewSolver, error) {
 	}
 	s.st = newFixedState(s.y, nb, c.slack)
 	return s, nil
-}
-
-func newFixedState(y *model.Ybus, nb, slack int) *fixedState {
-	st := &fixedState{
-		aPos: make([]int, nb),
-		mPos: make([]int, nb),
-		isPQ: make([]bool, nb),
-	}
-	na := 0
-	for i := 0; i < nb; i++ {
-		if i == slack {
-			st.aPos[i], st.mPos[i] = -1, -1
-			continue
-		}
-		st.aPos[i] = na
-		na++
-	}
-	nm := 0
-	for i := 0; i < nb; i++ {
-		if i == slack {
-			continue
-		}
-		st.mPos[i] = na + nm
-		nm++
-	}
-	st.dim = na + nm
-	if st.dim == 0 {
-		return st
-	}
-	st.rhs = make([]float64, st.dim)
-	st.dx = make([]float64, st.dim)
-	st.work = make([]float64, st.dim)
-	st.p = make([]float64, nb)
-	st.q = make([]float64, nb)
-	st.cs = make([]float64, nb)
-	st.sn = make([]float64, nb)
-	st.jac = newViewJacobian(y, st.aPos, st.mPos, st.dim)
-	return st
 }
 
 // Base returns the shared base network the solver was built over.
@@ -166,12 +107,6 @@ func (s *ViewSolver) Solve(view *model.OutageView, opts Options) (*Result, error
 	}
 	if opts.Algorithm != NewtonRaphson {
 		return Solve(view.Materialize(), opts)
-	}
-	if opts.Tol == 0 {
-		opts.Tol = 1e-8
-	}
-	if opts.MaxIter == 0 {
-		opts.MaxIter = 30
 	}
 
 	for _, k := range view.BranchesOut() {
@@ -216,30 +151,7 @@ func (s *ViewSolver) Solve(view *model.OutageView, opts Options) (*Result, error
 		startVoltagesInto(s.base, opts, vm, va)
 	}
 
-	res := &Result{Algorithm: opts.Algorithm}
-	const maxQRounds = 6
-	for round := 0; ; round++ {
-		iter, mis, conv, err := s.newtonRound(&c, vm, va, opts)
-		res.Iterations += iter
-		res.MaxMismatch = mis
-		res.Converged = conv
-		if err != nil {
-			return res, err
-		}
-		if !conv {
-			finishResultScratch(s.base, s.y, &c, vm, va, res, s.rsc)
-			return res, fmt.Errorf("%w after %d iterations (max mismatch %.3e p.u., %v)",
-				ErrNotConverged, res.Iterations, mis, opts.Algorithm)
-		}
-		if !opts.EnforceQLimits || round >= maxQRounds {
-			break
-		}
-		if !switchPVtoPQ(s.y, &c, vm, va, s.qsc) {
-			break
-		}
-	}
-	finishResultScratch(s.base, s.y, &c, vm, va, res, s.rsc)
-	return res, nil
+	return solveAC(s.base, s.y, &c, vm, va, opts, s.st, s.qsc, s.rsc)
 }
 
 // classifyView rebuilds the PV/PQ classification from the view's effective
@@ -330,241 +242,5 @@ func startVoltagesViewInto(n *model.Network, view *model.OutageView, opts Option
 				vm[g.Bus] = g.VSetpoint
 			}
 		}
-	}
-}
-
-// newtonRound iterates Newton to convergence for the current split on the
-// fixed augmented state. Mirrors newtonInner, with PV buses pinned by
-// identity rows instead of eliminated from the system.
-func (s *ViewSolver) newtonRound(c *classification, vm, va []float64, opts Options) (int, float64, bool, error) {
-	st := s.st
-	if st.dim == 0 {
-		return 0, 0, true, nil
-	}
-	for i := range st.isPQ {
-		st.isPQ[i] = false
-	}
-	for _, i := range c.pq {
-		st.isPQ[i] = true
-	}
-	nb := len(s.base.Buses)
-	for iter := 1; iter <= opts.MaxIter; iter++ {
-		injectionsInto(s.y, vm, va, st.cs, st.sn, st.p, st.q)
-		maxMis := st.mismatch(c, st.p, st.q)
-		if maxMis < opts.Tol {
-			return iter - 1, maxMis, true, nil
-		}
-
-		st.jac.refill(s.y, st, vm)
-		if st.lu == nil {
-			if st.colPerm = lookupOrdering(opts.Reorder, st.dim); st.colPerm == nil {
-				st.colPerm = busBlockOrdering(s.y, st)
-				storeOrdering(opts.Reorder, st.dim, st.colPerm)
-			}
-			lu, err := sparse.Factorize(st.jac.mat, sparse.Options{ColPerm: st.colPerm})
-			if err != nil {
-				return iter, maxMis, false, err
-			}
-			st.lu = lu
-		} else if err := st.lu.Refactorize(st.jac.mat); err != nil {
-			// The frozen pivot order went stale for this outage's values;
-			// re-pivot once and keep the fresh factorization.
-			lu, err := sparse.Factorize(st.jac.mat, sparse.Options{ColPerm: st.colPerm})
-			if err != nil {
-				return iter, maxMis, false, err
-			}
-			st.lu = lu
-		}
-		if err := st.lu.SolveInto(st.dx, st.rhs, st.work); err != nil {
-			return iter, maxMis, false, err
-		}
-		for i := 0; i < nb; i++ {
-			if st.aPos[i] >= 0 {
-				va[i] = angleWrap(va[i] + st.dx[st.aPos[i]])
-			}
-			// Magnitude steps apply only to PQ buses; pinned (PV) rows
-			// solved dVm = 0 exactly, and skipping them here keeps even
-			// that exactness irrelevant.
-			if st.mPos[i] >= 0 && st.isPQ[i] {
-				vm[i] += st.dx[st.mPos[i]]
-				if vm[i] < 1e-3 {
-					vm[i] = 1e-3
-				}
-			}
-		}
-	}
-	injectionsInto(s.y, vm, va, st.cs, st.sn, st.p, st.q)
-	maxMis := st.mismatch(c, st.p, st.q)
-	return opts.MaxIter, maxMis, maxMis < opts.Tol, nil
-}
-
-// mismatch writes [ΔP; ΔQ or pin] into rhs and returns the max abs
-// mismatch. Pinned (PV) magnitude rows get a zero right-hand side: their
-// equation is dVm = 0.
-func (st *fixedState) mismatch(c *classification, p, q []float64) float64 {
-	var maxMis float64
-	for i := range p {
-		if st.aPos[i] >= 0 {
-			d := c.pSpec[i] - p[i]
-			st.rhs[st.aPos[i]] = d
-			if a := math.Abs(d); a > maxMis {
-				maxMis = a
-			}
-		}
-		if st.mPos[i] >= 0 {
-			if st.isPQ[i] {
-				d := c.qSpec[i] - q[i]
-				st.rhs[st.mPos[i]] = d
-				if a := math.Abs(d); a > maxMis {
-					maxMis = a
-				}
-			} else {
-				st.rhs[st.mPos[i]] = 0
-			}
-		}
-	}
-	return maxMis
-}
-
-// viewJacobian is the augmented Jacobian: the polar power flow Jacobian
-// over all non-slack angle AND magnitude unknowns, with a fixed symbolic
-// pattern compiled from the full structural Ybus (zero-valued entries
-// included, so rank-1 outage patches never change the pattern). Buses
-// currently PV are pinned: their magnitude row is the identity and every
-// coupling into or out of their magnitude column is written as exact zero.
-type viewJacobian struct {
-	mat  *sparse.CSC
-	slot []int
-}
-
-// newViewJacobian compiles the augmented pattern once.
-func newViewJacobian(y *model.Ybus, aPos, mPos []int, dim int) *viewJacobian {
-	ri := make([]int, 0, 4*len(y.NZ))
-	ci := make([]int, 0, 4*len(y.NZ))
-	emit := func(r, c int) {
-		ri = append(ri, r)
-		ci = append(ci, c)
-	}
-	walkViewJacobian(y, func(i int) {
-		if aPos[i] >= 0 {
-			emit(aPos[i], aPos[i])
-			emit(aPos[i], mPos[i])
-			emit(mPos[i], aPos[i])
-			emit(mPos[i], mPos[i])
-		}
-	}, func(i, j int, _ complex128) {
-		if aPos[i] >= 0 {
-			if aPos[j] >= 0 {
-				emit(aPos[i], aPos[j])
-				emit(mPos[i], aPos[j])
-			}
-			if mPos[j] >= 0 {
-				emit(aPos[i], mPos[j])
-				emit(mPos[i], mPos[j])
-			}
-		}
-	})
-	mat, slot := sparse.CompilePattern(dim, dim, ri, ci)
-	return &viewJacobian{mat: mat, slot: slot}
-}
-
-// refill recomputes the augmented Jacobian values for the current state
-// and PQ membership, writing through the slot map. No allocation, no
-// pattern work. st.cs/st.sn must hold cos(va)/sin(va) as filled by
-// injectionsInto for the same state.
-func (ja *viewJacobian) refill(y *model.Ybus, st *fixedState, vm []float64) {
-	val := ja.mat.Values()
-	k := 0
-	put := func(v float64) {
-		val[ja.slot[k]] = v
-		k++
-	}
-	p, q, cs, sn, isPQ := st.p, st.q, st.cs, st.sn, st.isPQ
-	walkViewJacobian(y, func(i int) {
-		if st.aPos[i] < 0 {
-			return
-		}
-		yii := y.Diag(i)
-		g, b := real(yii), imag(yii)
-		vi := vm[i]
-		put(-q[i] - b*vi*vi) // dP_i/dVa_i
-		if isPQ[i] {
-			put(p[i]/vi + g*vi) // dP_i/dVm_i
-			put(p[i] - g*vi*vi) // dQ_i/dVa_i
-			put(q[i]/vi - b*vi) // dQ_i/dVm_i
-		} else {
-			put(0) // pinned column
-			put(0) // pinned row
-			put(1) // identity: dVm_i = 0
-		}
-	}, func(i, j int, yij complex128) {
-		if st.aPos[i] < 0 {
-			return
-		}
-		g, b := real(yij), imag(yij)
-		ct := cs[i]*cs[j] + sn[i]*sn[j]  // cos(va_i − va_j)
-		sth := sn[i]*cs[j] - cs[i]*sn[j] // sin(va_i − va_j)
-		vij := vm[i] * vm[j]
-		if st.aPos[j] >= 0 {
-			put(vij * (g*sth - b*ct)) // dP_i/dVa_j
-			if isPQ[i] {
-				put(-vij * (g*ct + b*sth)) // dQ_i/dVa_j
-			} else {
-				put(0)
-			}
-		}
-		if st.mPos[j] >= 0 {
-			if isPQ[j] {
-				put(vm[i] * (g*ct + b*sth)) // dP_i/dVm_j
-			} else {
-				put(0)
-			}
-			if isPQ[i] && isPQ[j] {
-				put(vm[i] * (g*sth - b*ct)) // dQ_i/dVm_j
-			} else {
-				put(0)
-			}
-		}
-	})
-}
-
-// busBlockOrdering computes the fill-reducing column pre-order of the
-// augmented Jacobian at bus granularity: minimum-degree on the non-slack
-// bus adjacency graph (half the node count, a quarter of the ordering
-// work), each bus then expanded to its angle and magnitude columns
-// adjacently. The Jacobian is a 2×2-blocked image of the bus graph, so the
-// quotient-graph ordering preserves (often improves) fill quality while
-// keeping each bus's variables together.
-func busBlockOrdering(y *model.Ybus, st *fixedState) []int {
-	na := st.dim / 2
-	bg := sparse.NewCOO(na, na)
-	for _, nz := range y.NZ {
-		i, j := nz[0], nz[1]
-		if st.aPos[i] >= 0 && st.aPos[j] >= 0 {
-			bg.Add(st.aPos[i], st.aPos[j], 1)
-		}
-	}
-	perm := sparse.MinDegree(bg.ToCSC())
-	out := make([]int, 0, st.dim)
-	for _, p := range perm {
-		// Column layout from newFixedState: angle column of the bus at
-		// position p is p, its magnitude column is na+p.
-		out = append(out, p, na+p)
-	}
-	return out
-}
-
-// walkViewJacobian drives the shared traversal of the symbolic and numeric
-// passes over EVERY structural Ybus nonzero — zero values included, so the
-// emission sequence is invariant under in-place Ybus value changes
-// (branch-outage patches).
-func walkViewJacobian(y *model.Ybus, onDiag func(i int), onOff func(i, j int, yij complex128)) {
-	for k, nz := range y.NZ {
-		i, j := nz[0], nz[1]
-		if i == j {
-			onDiag(i)
-			continue
-		}
-		onOff(i, j, y.NZv[k])
 	}
 }

@@ -9,10 +9,40 @@ import (
 	"gridmind/internal/powerflow"
 )
 
+// TestSolveMatchesReducedNewtonOracle pins one-shot Solve, which runs the
+// augmented Newton kernel, against the independent reduced-dimension
+// Newton oracle: same convergence, same Newton iteration count (Q-limit
+// rounds included), voltages to 1e-9, from the stored and the flat start.
+func TestSolveMatchesReducedNewtonOracle(t *testing.T) {
+	for _, name := range []string{"case14", "case30", "case57", "case118", "case300"} {
+		n := cases.MustLoad(name)
+		for _, flat := range []bool{false, true} {
+			opts := powerflow.Options{EnforceQLimits: true, FlatStart: flat}
+			got, errG := powerflow.Solve(n, opts)
+			want, errW := powerflow.ReferenceSolve(n, opts)
+			if errG != nil || errW != nil {
+				t.Fatalf("%s flat=%v: solve err=%v, oracle err=%v", name, flat, errG, errW)
+			}
+			if got.Iterations != want.Iterations {
+				t.Errorf("%s flat=%v: %d Newton iterations, oracle %d", name, flat, got.Iterations, want.Iterations)
+			}
+			const tol = 1e-9
+			for i := range n.Buses {
+				if d := math.Abs(got.Voltages.Vm[i] - want.Voltages.Vm[i]); d > tol {
+					t.Fatalf("%s flat=%v bus %d: Vm differs by %.3e", name, flat, i, d)
+				}
+				if d := math.Abs(got.Voltages.Va[i] - want.Voltages.Va[i]); d > tol {
+					t.Fatalf("%s flat=%v bus %d: Va differs by %.3e", name, flat, i, d)
+				}
+			}
+		}
+	}
+}
+
 // TestViewSolverMatchesCloneSolve is the powerflow half of the
 // differential harness: for every non-islanding outage, the zero-clone
-// patched-Ybus solve must reproduce the clone-based solve — voltages and
-// flows — to 1e-9.
+// patched-Ybus solve must reproduce the reduced-dimension Newton oracle on
+// a cloned post-outage network — voltages and flows — to 1e-9.
 func TestViewSolverMatchesCloneSolve(t *testing.T) {
 	for _, name := range []string{"case30", "case57"} {
 		n := cases.MustLoad(name)
@@ -39,7 +69,7 @@ func TestViewSolverMatchesCloneSolve(t *testing.T) {
 			got, errV := solver.Solve(view, opts)
 			post := n.Clone()
 			post.Branches[k].InService = false
-			want, errC := powerflow.Solve(post, powerflow.Options{EnforceQLimits: true, Warm: base.Voltages.Clone()})
+			want, errC := powerflow.ReferenceSolve(post, powerflow.Options{EnforceQLimits: true, Warm: base.Voltages.Clone()})
 			if (errV == nil) != (errC == nil) || got.Converged != want.Converged {
 				t.Fatalf("%s branch %d: view err=%v conv=%v, clone err=%v conv=%v",
 					name, k, errV, got.Converged, errC, want.Converged)

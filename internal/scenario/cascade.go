@@ -85,10 +85,11 @@ type CascadeResult struct {
 }
 
 // cascadeState is the solve backend of a cascade: the pooled zero-clone
-// view path (viewState) or the brute-force clone path (cloneState) the
-// differential harness pins it against. Everything above this interface —
-// trip selection, islanding, redispatch planning, scoring — is shared
-// code, so the two paths can only diverge in the solver itself.
+// view path (viewState), or the brute-force clone backend of
+// reference_test.go that the differential harness pins it against.
+// Everything above this interface — trip selection, islanding, redispatch
+// planning, scoring — is shared code, so the two paths can only diverge
+// in the solver itself.
 type cascadeState interface {
 	// trip applies additional branch outages cumulatively.
 	trip(branches []int)
@@ -143,46 +144,6 @@ func (s *viewState) setGenP(g int, p float64) { s.view.SetGenP(g, p) }
 func (s *viewState) inService(g int) bool     { return s.view.GenInService(g) }
 func (s *viewState) effP(g int) float64       { return s.view.Gen(g).P }
 
-// cloneState is the reference path: one deep clone per cascade, mutated
-// progressively (outages flip InService, redispatch writes P, load scale
-// rewrites the load table) and re-solved from scratch per stage.
-type cloneState struct {
-	n *model.Network
-}
-
-func newCloneState(base *model.Network, ev Event, fp fleetPlan) *cloneState {
-	n := base.Clone()
-	for _, g := range fp.out {
-		n.Gens[g].InService = false
-	}
-	for _, t := range fp.targets {
-		n.Gens[t.gen].P = t.p
-	}
-	if ls := ev.loadScale(); ls != 1 {
-		for i := range n.Loads {
-			n.Loads[i].P *= ls
-			n.Loads[i].Q *= ls
-		}
-	}
-	return &cloneState{n: n}
-}
-
-func (s *cloneState) trip(branches []int) {
-	for _, k := range branches {
-		s.n.Branches[k].InService = false
-	}
-}
-
-func (s *cloneState) solve(opts powerflow.Options) (*powerflow.Result, error) {
-	return powerflow.Solve(s.n, opts)
-}
-
-func (s *cloneState) materialize() *model.Network { return s.n }
-
-func (s *cloneState) setGenP(g int, p float64) { s.n.Gens[g].P = p }
-func (s *cloneState) inService(g int) bool     { return s.n.Gens[g].InService }
-func (s *cloneState) effP(g int) float64       { return s.n.Gens[g].P }
-
 // Ctx is one worker's reusable cascade state: the view solver whose
 // compiled Newton pattern and LU symbolic analysis persist across
 // cascades, plus the shared base topology and the allocation-free
@@ -193,16 +154,17 @@ type Ctx struct {
 	topo  *model.Topology
 	slack int
 
-	solver *powerflow.ViewSolver // nil when the base fails to classify
+	solver *powerflow.ViewSolver
 	view   *model.OutageView
 
 	comp, stack []int
 	mask        []bool
 }
 
-// NewCtx builds a worker context over base network n. topo must describe
-// n's in-service branches (nil builds one); baseY, when non-nil, is the
-// shared base admittance matrix to value-copy.
+// NewCtx builds a worker context over base network n, which must have a
+// slack bus (the package's entry points reject networks without one).
+// topo must describe n's in-service branches (nil builds one); baseY, when
+// non-nil, is the shared base admittance matrix to value-copy.
 func NewCtx(n *model.Network, topo *model.Topology, baseY *model.Ybus) *Ctx {
 	if topo == nil {
 		topo = model.NewTopology(n)
@@ -220,28 +182,31 @@ func NewCtx(n *model.Network, topo *model.Topology, baseY *model.Ybus) *Ctx {
 	return c
 }
 
-// runCascade drives one cascade study over the chosen backend. Both
-// backends run this exact loop — islanding, scoring, trip selection and
-// redispatch are literally shared code — so the differential harness
-// checking identical trip sequences and matching stage metrics pins the
-// solver backends against each other, nothing else.
-func runCascade(c *Ctx, base *powerflow.Result, ev Event, opts Options) *CascadeResult {
+// cascadeRunner runs one cascade study on a worker context: (*Ctx).cascade
+// in production; the differential harness passes the clone backend.
+type cascadeRunner func(c *Ctx, base *powerflow.Result, ev Event, opts Options) *CascadeResult
+
+// cascade runs one cascade study on the context's zero-clone view backend.
+func (c *Ctx) cascade(base *powerflow.Result, ev Event, opts Options) *CascadeResult {
+	fp := planGenOutages(c.n, ev.Gens)
+	vs := &viewState{view: c.view, solver: c.solver}
+	vs.prepare(ev, fp)
+	return runCascade(c, vs, fp, base, ev, opts)
+}
+
+// runCascade drives one cascade study over the backend st, prepared for
+// the event with its resolved fleet plan fp. Both backends run this exact
+// loop — islanding, scoring, trip selection and redispatch are literally
+// shared code — so the differential harness checking identical trip
+// sequences and matching stage metrics pins the solver backends against
+// each other, nothing else.
+func runCascade(c *Ctx, st cascadeState, fp fleetPlan, base *powerflow.Result, ev Event, opts Options) *CascadeResult {
 	n := c.n
-	fp := planGenOutages(n, ev.Gens)
 	r := &CascadeResult{
 		Event:        ev,
 		GensOut:      fp.out,
 		LostGenMW:    fp.lostMW,
 		GenDeficitMW: fp.deficitMW,
-	}
-
-	var st cascadeState
-	if opts.ReferenceClone || c.solver == nil {
-		st = newCloneState(n, ev, fp)
-	} else {
-		vs := &viewState{view: c.view, solver: c.solver}
-		vs.prepare(ev, fp)
-		st = vs
 	}
 
 	for i := range c.mask {
@@ -432,17 +397,16 @@ func (r *CascadeResult) computeSeverity(opts Options) {
 }
 
 // Cascade runs one cascade study from the initiating event over a solved
-// base case. The fast path stacks the cumulative trip set as rank-1 Ybus
-// patches on a pooled worker context; Options.ReferenceClone selects the
-// clone-and-resolve reference instead.
+// base case, stacking the cumulative trip set as rank-1 Ybus patches on a
+// pooled worker context.
 func Cascade(n *model.Network, base *powerflow.Result, ev Event, opts Options) (*CascadeResult, error) {
-	if base == nil || !base.Converged {
-		return nil, ErrNoBase
+	if err := checkInputs(n, base); err != nil {
+		return nil, err
 	}
 	opts.fill()
 	ctx := acquireCtx(&opts, n)
 	defer releaseCtx(&opts, ctx)
-	r := runCascade(ctx, base, ev, opts)
+	r := ctx.cascade(base, ev, opts)
 	recordScenario(opts.Metrics, "cascade", 1, 0)
 	return r, nil
 }
@@ -523,8 +487,13 @@ func screenSeed(n *model.Network, preMW, basePct []float64, k int, opts Options)
 // recorded OutcomeScreened with no AC work — the screen is shared sweep
 // code, identical on the fast and reference paths.
 func Sweep(n *model.Network, base *powerflow.Result, opts Options) (*SweepResult, error) {
-	if base == nil || !base.Converged {
-		return nil, ErrNoBase
+	return sweep(n, base, opts, (*Ctx).cascade)
+}
+
+// sweep is Sweep over the cascade backend run.
+func sweep(n *model.Network, base *powerflow.Result, opts Options, run cascadeRunner) (*SweepResult, error) {
+	if err := checkInputs(n, base); err != nil {
+		return nil, err
 	}
 	opts.fill()
 
@@ -565,7 +534,7 @@ func Sweep(n *model.Network, base *powerflow.Result, opts Options) (*SweepResult
 						continue
 					}
 				}
-				sw.Results[k] = runCascade(ctx, base, Event{Branches: []int{k}}, opts)
+				sw.Results[k] = run(ctx, base, Event{Branches: []int{k}}, opts)
 			}
 		}()
 	}

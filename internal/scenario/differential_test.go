@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -141,15 +142,10 @@ func TestCascadeDifferentialSeeds(t *testing.T) {
 			t.Run(name+"/"+cfg.label, func(t *testing.T) {
 				n := cases.MustLoad(name)
 				base := solveBase(t, n)
-				refOpts, fastOpts := cfg.opts, cfg.opts
-				refOpts.ReferenceClone = true
 				var deepest int
 				for _, k := range n.InServiceBranches() {
-					ref, err := Cascade(n, base, cfg.ev(k), refOpts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, err := Cascade(n, base, cfg.ev(k), fastOpts)
+					ref := cascadeReference(n, base, cfg.ev(k), cfg.opts)
+					got, err := Cascade(n, base, cfg.ev(k), cfg.opts)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -177,8 +173,6 @@ func TestCascadeDifferentialMixedEvents(t *testing.T) {
 			n := cases.MustLoad(name)
 			base := solveBase(t, n)
 			opts := Options{TripPct: 108, Redispatch: true}
-			refOpts := opts
-			refOpts.ReferenceClone = true
 			branches := n.InServiceBranches()
 			for i, k := range branches {
 				ev := Event{
@@ -186,10 +180,7 @@ func TestCascadeDifferentialMixedEvents(t *testing.T) {
 					Gens:      []int{i % len(n.Gens)},
 					LoadScale: 1.05,
 				}
-				ref, err := Cascade(n, base, ev, refOpts)
-				if err != nil {
-					t.Fatal(err)
-				}
+				ref := cascadeReference(n, base, ev, opts)
 				got, err := Cascade(n, base, ev, opts)
 				if err != nil {
 					t.Fatal(err)
@@ -208,7 +199,7 @@ func TestCascadeDifferentialMixedEvents(t *testing.T) {
 func TestCascadeSweepDifferential(t *testing.T) {
 	n := cases.MustLoad("case57")
 	base := solveBase(t, n)
-	ref, err := Sweep(n, base, Options{ReferenceClone: true})
+	ref, err := sweep(n, base, Options{}, cascadeClone)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,5 +274,28 @@ func TestCascadeScreenConservatism(t *testing.T) {
 	}
 	if total == 0 {
 		t.Fatal("DC screen certified nothing on any case — the conservatism check has no teeth")
+	}
+}
+
+// TestNoSlackIsAnError: a slack-less network (Network.Validate skipped)
+// gets powerflow.ErrNoSlack from every entry point instead of reaching
+// the workers, where an islanding trip indexed the component table at the
+// missing slack and panicked.
+func TestNoSlackIsAnError(t *testing.T) {
+	n := cases.MustLoad("case14")
+	base := solveBase(t, n)
+	m := n.Clone()
+	m.Buses[m.SlackBus()].Type = model.PV
+	if _, err := Cascade(m, base, Event{Branches: []int{13}}, Options{}); !errors.Is(err, powerflow.ErrNoSlack) {
+		t.Fatalf("Cascade: got %v, want ErrNoSlack", err)
+	}
+	if _, err := Sweep(m, base, Options{}); !errors.Is(err, powerflow.ErrNoSlack) {
+		t.Fatalf("Sweep: got %v, want ErrNoSlack", err)
+	}
+	if _, err := Episode(m, base, []EpisodeStep{{BranchesOut: []int{13}}}, Options{}); !errors.Is(err, powerflow.ErrNoSlack) {
+		t.Fatalf("Episode: got %v, want ErrNoSlack", err)
+	}
+	if _, err := RunMC(m, base, MCOptions{Samples: 2}); !errors.Is(err, powerflow.ErrNoSlack) {
+		t.Fatalf("RunMC: got %v, want ErrNoSlack", err)
 	}
 }

@@ -48,11 +48,39 @@ type EpisodeResult struct {
 // the pooled view solver (no clone, no recompilation) and warm-starts
 // from the previous step's voltage profile — consecutive operating points
 // are close, so steps typically converge in a couple of Newton
-// iterations. Options.ReferenceClone solves a fresh clone per step
-// instead; the episode differential harness pins the two.
+// iterations. The episode differential harness pins it against a fresh
+// clone solved per step.
 func Episode(n *model.Network, base *powerflow.Result, steps []EpisodeStep, opts Options) (*EpisodeResult, error) {
-	if base == nil || !base.Converged {
-		return nil, ErrNoBase
+	return episode(n, base, steps, opts, (*Ctx).solveStep)
+}
+
+// stepSolver solves one episode step on a worker context: (*Ctx).solveStep
+// in production; the differential harness passes a clone-per-step solver.
+type stepSolver func(c *Ctx, step EpisodeStep, opts powerflow.Options) (*powerflow.Result, error)
+
+// solveStep solves one episode step in place on the context's view.
+func (c *Ctx) solveStep(step EpisodeStep, opts powerflow.Options) (*powerflow.Result, error) {
+	c.view.Reset()
+	if ls := stepScale(step); ls != 1 {
+		c.view.ScaleLoads(ls)
+	}
+	for g, p := range step.GenP {
+		if g >= 0 && g < len(c.n.Gens) {
+			c.view.SetGenP(g, p)
+		}
+	}
+	for _, k := range step.BranchesOut {
+		if k >= 0 && k < len(c.n.Branches) && c.n.Branches[k].InService {
+			c.view.OutBranch(k)
+		}
+	}
+	return c.solver.Solve(c.view, opts)
+}
+
+// episode is Episode over the step solver solve.
+func episode(n *model.Network, base *powerflow.Result, steps []EpisodeStep, opts Options, solve stepSolver) (*EpisodeResult, error) {
+	if err := checkInputs(n, base); err != nil {
+		return nil, err
 	}
 	opts.fill()
 	ctx := acquireCtx(&opts, n)
@@ -62,44 +90,7 @@ func Episode(n *model.Network, base *powerflow.Result, steps []EpisodeStep, opts
 	warm := &base.Voltages
 	for si, step := range steps {
 		pfOpts := powerflow.Options{EnforceQLimits: true, Reorder: opts.Reorder, Warm: warm}
-		var res *powerflow.Result
-		var err error
-		if opts.ReferenceClone || ctx.solver == nil {
-			m := n.Clone()
-			if ls := stepScale(step); ls != 1 {
-				for i := range m.Loads {
-					m.Loads[i].P *= ls
-					m.Loads[i].Q *= ls
-				}
-			}
-			for g, p := range step.GenP {
-				if g >= 0 && g < len(m.Gens) {
-					m.Gens[g].P = p
-				}
-			}
-			for _, k := range step.BranchesOut {
-				if k >= 0 && k < len(m.Branches) {
-					m.Branches[k].InService = false
-				}
-			}
-			res, err = powerflow.Solve(m, pfOpts)
-		} else {
-			ctx.view.Reset()
-			if ls := stepScale(step); ls != 1 {
-				ctx.view.ScaleLoads(ls)
-			}
-			for g, p := range step.GenP {
-				if g >= 0 && g < len(n.Gens) {
-					ctx.view.SetGenP(g, p)
-				}
-			}
-			for _, k := range step.BranchesOut {
-				if k >= 0 && k < len(n.Branches) && n.Branches[k].InService {
-					ctx.view.OutBranch(k)
-				}
-			}
-			res, err = ctx.solver.Solve(ctx.view, pfOpts)
-		}
+		res, err := solve(ctx, step, pfOpts)
 
 		sr := StepResult{Step: si}
 		if err != nil || !res.Converged {

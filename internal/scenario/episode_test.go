@@ -41,7 +41,7 @@ func TestEpisodeDifferential(t *testing.T) {
 			n := cases.MustLoad(name)
 			base := solveBase(t, n)
 			steps := episodeSteps(n, 24)
-			ref, err := Episode(n, base, steps, Options{ReferenceClone: true})
+			ref, err := episode(n, base, steps, Options{}, solveStepClone)
 			if err != nil {
 				t.Fatal(err)
 			}

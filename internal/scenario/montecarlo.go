@@ -83,8 +83,13 @@ type MCResult struct {
 // with Wilson 95% intervals. Parallel across Cascade.Workers; outcome
 // order and every drawn event are scheduling-independent.
 func RunMC(n *model.Network, base *powerflow.Result, mo MCOptions) (*MCResult, error) {
-	if base == nil || !base.Converged {
-		return nil, ErrNoBase
+	return runMC(n, base, mo, (*Ctx).cascade)
+}
+
+// runMC is RunMC over the cascade backend run.
+func runMC(n *model.Network, base *powerflow.Result, mo MCOptions, run cascadeRunner) (*MCResult, error) {
+	if err := checkInputs(n, base); err != nil {
+		return nil, err
 	}
 	mo.fill()
 
@@ -107,7 +112,7 @@ func RunMC(n *model.Network, base *powerflow.Result, mo MCOptions) (*MCResult, e
 					return
 				}
 				ev := sampleEvent(n, rand.New(rand.NewSource(sampleSeed(mo.Seed, i))), mo)
-				r := runCascade(ctx, base, ev, mo.Cascade)
+				r := run(ctx, base, ev, mo.Cascade)
 				so := SampleOutcome{
 					Sample:     i,
 					Event:      ev,

@@ -65,13 +65,11 @@ func TestMCDifferential(t *testing.T) {
 		BranchOutageProb: 0.03,
 		LoadSigma:        0.04,
 	}
-	ref := mo
-	ref.Cascade = Options{ReferenceClone: true}
-	mo.Cascade = Options{Pool: NewPool()}
-	want, err := RunMC(n, base, ref)
+	want, err := runMC(n, base, mo, cascadeClone)
 	if err != nil {
 		t.Fatal(err)
 	}
+	mo.Cascade = Options{Pool: NewPool()}
 	got, err := RunMC(n, base, mo)
 	if err != nil {
 		t.Fatal(err)

@@ -8,9 +8,9 @@
 // Ybus patches on multi-outage OutageViews, episodes ride the view
 // solver's in-place spec re-derivation (uniform load scaling + dispatch
 // overrides), and Monte Carlo samples replay seeded outage/load draws
-// through the same cascade driver. A clone-and-resolve reference path
-// (Options.ReferenceClone) backs the differential harness, exactly as the
-// contingency sweeps are pinned.
+// through the same cascade driver. A clone-and-resolve reference backend,
+// which only the tests build (reference_test.go), backs the differential
+// harness, exactly as the contingency sweeps are pinned.
 package scenario
 
 import (
@@ -41,6 +41,18 @@ func recordScenario(met *obs.Registry, kind string, units, screened int) {
 
 // ErrNoBase reports a missing or unconverged base-case solution.
 var ErrNoBase = errors.New("scenario: a converged base power flow is required")
+
+// checkInputs validates what every entry point needs before any worker
+// context exists: a converged base power flow and a slack bus.
+func checkInputs(n *model.Network, base *powerflow.Result) error {
+	if base == nil || !base.Converged {
+		return ErrNoBase
+	}
+	if n.SlackBus() < 0 {
+		return powerflow.ErrNoSlack
+	}
+	return nil
+}
 
 // Options configures cascade studies, sweeps and episodes. The zero value
 // cascades to depth 3 with a 115% protection trip threshold, two trips
@@ -84,11 +96,6 @@ type Options struct {
 	// the DC prediction is MW-only and absolute bars can't certify
 	// anything on a base that already runs branches in the 90s.
 	ScreenThreshold float64
-	// ReferenceClone selects the brute-force clone-and-resolve backend
-	// instead of the pooled zero-clone view backend. Test-only: the
-	// differential harness pins the fast path against it.
-	ReferenceClone bool
-
 	// BaseYbus/Topology/PTDF/Reorder are the engine's shared structural
 	// artifacts (see contingency.Options for the matching contracts). Nil
 	// builds what is needed per call.

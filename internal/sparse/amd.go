@@ -1,5 +1,7 @@
 package sparse
 
+import "sort"
+
 // MinDegree computes a minimum-degree ordering of the symmetrized pattern
 // of m (pattern of M + Mᵀ): at each step the uneliminated node of smallest
 // degree in the elimination graph is removed and its neighbours are
@@ -53,4 +55,46 @@ func MinDegree(m *CSC) []int {
 		}
 	}
 	return perm
+}
+
+// symmetricAdjacency builds the adjacency lists of the undirected graph of
+// M + Mᵀ, excluding self loops.
+func symmetricAdjacency(m *CSC) [][]int {
+	n := m.cols
+	adj := make([][]int, n)
+	add := func(a, b int) {
+		if a != b {
+			adj[a] = append(adj[a], b)
+		}
+	}
+	for j := 0; j < n; j++ {
+		for p := m.colPtr[j]; p < m.colPtr[j+1]; p++ {
+			i := m.rowIdx[p]
+			add(i, j)
+			add(j, i)
+		}
+	}
+	// Deduplicate.
+	for v := range adj {
+		sort.Ints(adj[v])
+		out := adj[v][:0]
+		prev := -1
+		for _, w := range adj[v] {
+			if w != prev {
+				out = append(out, w)
+				prev = w
+			}
+		}
+		adj[v] = out
+	}
+	return adj
+}
+
+// InvertPerm returns the inverse permutation: inv[perm[k]] = k.
+func InvertPerm(perm []int) []int {
+	inv := make([]int, len(perm))
+	for k, v := range perm {
+		inv[v] = k
+	}
+	return inv
 }

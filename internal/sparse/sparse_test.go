@@ -207,61 +207,6 @@ func TestLUMatchesDenseOnTridiagonal(t *testing.T) {
 	}
 }
 
-func TestRCMPermValid(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	a := randomSolvable(rng, 30, 0.1)
-	p := RCM(a)
-	if len(p) != 30 {
-		t.Fatalf("perm length %d", len(p))
-	}
-	seen := make([]bool, 30)
-	for _, v := range p {
-		if v < 0 || v >= 30 || seen[v] {
-			t.Fatalf("invalid permutation %v", p)
-		}
-		seen[v] = true
-	}
-}
-
-func TestRCMReducesFillOnGrid(t *testing.T) {
-	// 2-D grid Laplacian: RCM should beat identity ordering on fill-in.
-	const g = 12
-	n := g * g
-	c := NewCOO(n, n)
-	id := func(i, j int) int { return i*g + j }
-	for i := 0; i < g; i++ {
-		for j := 0; j < g; j++ {
-			c.Add(id(i, j), id(i, j), 4)
-			if i > 0 {
-				c.Add(id(i, j), id(i-1, j), -1)
-			}
-			if i < g-1 {
-				c.Add(id(i, j), id(i+1, j), -1)
-			}
-			if j > 0 {
-				c.Add(id(i, j), id(i, j-1), -1)
-			}
-			if j < g-1 {
-				c.Add(id(i, j), id(i, j+1), -1)
-			}
-		}
-	}
-	a := c.ToCSC()
-	fRCM, err := Factorize(a, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fID, err := Factorize(a, Options{ColPerm: IdentityPerm(n)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The natural (row-major) grid ordering is already banded, so allow
-	// parity, but RCM must not be substantially worse.
-	if fRCM.NNZ() > fID.NNZ()*11/10 {
-		t.Fatalf("RCM fill %d vs identity %d", fRCM.NNZ(), fID.NNZ())
-	}
-}
-
 func TestInvertPerm(t *testing.T) {
 	p := []int{2, 0, 1}
 	inv := InvertPerm(p)

@@ -38,8 +38,8 @@ func sessionWorkload(t *testing.T, eng *engine.Engine) {
 	if opts.PTDF == nil {
 		t.Fatal("engine did not provide the PTDF factors")
 	}
-	if r := contingency.AnalyzeOne(n, base, n.InServiceBranches()[0], opts); r == nil {
-		t.Fatal("AnalyzeOne returned nil")
+	if r, err := contingency.AnalyzeOne(n, base, n.InServiceBranches()[0], opts); err != nil || r == nil {
+		t.Fatalf("AnalyzeOne returned %v, %v", r, err)
 	}
 }
 

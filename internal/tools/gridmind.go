@@ -542,7 +542,10 @@ func analyzeOutageTool(ctx *session.Context, eng *engine.Engine) *Tool {
 			if hit, ok := ctx.ContCache().Get(contingency.Key(ctx.DiffHash(), n.Name, k)); ok {
 				o = hit
 			} else {
-				o = contingency.AnalyzeOne(n, base, k, opts)
+				var err error
+				if o, err = contingency.AnalyzeOne(n, base, k, opts); err != nil {
+					return nil, err
+				}
 				ctx.ContCache().Put(contingency.Key(ctx.DiffHash(), n.Name, k), o)
 			}
 			return map[string]any{
